@@ -33,7 +33,7 @@ only once its slot is durably cleared (paper's three-step cleanup).
 from __future__ import annotations
 
 import struct
-from typing import Generator, List, Optional, Tuple
+from typing import Dict, Generator, List, Optional, Set, Tuple
 
 from ..nvmm import NvmmDevice, RegionAllocator, read_cstring, write_cstring
 from ..sim import Environment, Waitable
@@ -69,17 +69,14 @@ def _align(value: int, alignment: int = CACHE_LINE_SIZE) -> int:
     return (value + alignment - 1) & ~(alignment - 1)
 
 
-class LogFullError(Exception):
-    """Internal marker (writers normally wait instead of raising)."""
-
-
 class NvmmLog:
     """The persistent circular log plus its volatile indices."""
 
     __slots__ = ("env", "nvmm", "config", "stats", "entries", "stride",
                  "fd_table_base", "tail_base", "entries_base", "head",
                  "volatile_tail", "_space_waiters", "_registered_fds",
-                 "_fd_set_authoritative", "_slot_mirror")
+                 "_fd_set_authoritative", "_slot_mirror", "_removals",
+                 "_removal_source")
 
     def __init__(self, env: Environment, nvmm: NvmmDevice, config: NvcacheConfig,
                  stats: Optional[NvcacheStats] = None, base: int = 0):
@@ -116,6 +113,14 @@ class NvmmLog:
         # back to the media — the mirror is an index, never a substitute
         # source of truth.
         self._slot_mirror: List[Optional[Tuple[int, int]]] = [None] * self.entries
+        # Volatile index of the ring's namespace removals, for
+        # pending_removal(): encoded source path -> sequence numbers of
+        # the OP_UNLINK / OP_RENAME entries naming it, and the reverse
+        # map so clear_entries() can drop a retired seq in O(1). Entries
+        # join at fill_entry() and leave when their slot is cleared.
+        # Starts empty even over a recovered image; see pending_removal().
+        self._removals: Dict[bytes, Set[int]] = {}
+        self._removal_source: Dict[int, bytes] = {}
 
     # -- geometry ----------------------------------------------------------
 
@@ -134,12 +139,6 @@ class NvmmLog:
 
     def used(self) -> int:
         return self.head - self.volatile_tail
-
-    def free_slots(self) -> int:
-        return self.entries - self.used()
-
-    def is_empty(self) -> bool:
-        return self.head == self.volatile_tail
 
     # -- writer side ---------------------------------------------------------
 
@@ -201,6 +200,10 @@ class NvmmLog:
         self.nvmm.store(addr, header)
         self.nvmm.store(addr + HEADER_SIZE, data)
         self._slot_mirror[seq % self.entries] = (seq, commit_group)
+        if fd == OP_UNLINK:
+            self._index_removal(seq, data)
+        elif fd == OP_RENAME:
+            self._index_removal(seq, data.split(b"\x00", 1)[0])
         self.nvmm.pwb_range(addr, HEADER_SIZE + len(data))
         recorder = self.env.crash_points
         if recorder is not None:
@@ -259,24 +262,39 @@ class NvmmLog:
         return data
 
     def pending_removal(self, path: str) -> bool:
-        """True while the ring still holds a namespace entry that removes
-        ``path`` — an unlink, or a rename away from it. A file recreated
-        under such a path must log its creation (OP_CREATE) so recovery
-        replays the full namespace history in order; without the pending
-        removal, replay's lazy ``O_CREAT`` recreation is enough."""
-        encoded = path.encode("utf-8")
-        for seq in range(min(self.persistent_tail(), self.volatile_tail),
-                         self.head):
-            commit_group, fd, _offset, size = self.read_header(seq)
-            if commit_group == COMMIT_FREE or fd not in (OP_UNLINK, OP_RENAME):
-                continue
-            data = self.read_data(seq, size)
-            if fd == OP_UNLINK:
-                if data == encoded:
-                    return True
-            elif data.split(b"\x00", 1)[0] == encoded:
-                return True
-        return False
+        """True while the ring still holds a committed namespace entry
+        that removes ``path`` — an unlink, or a rename away from it. A
+        file recreated under such a path must log its creation
+        (OP_CREATE) so recovery replays the full namespace history in
+        order; without the pending removal, replay's lazy ``O_CREAT``
+        recreation is enough.
+
+        Answered from the volatile removal index instead of scanning the
+        headers of every live slot: an indexed entry counts once its
+        commit word is set, exactly as the scan did (filled but not yet
+        committed entries carry ``COMMIT_FREE`` and do not count).
+
+        The index is never rebuilt from the media, and need not be:
+        :func:`~repro.core.recovery.recover` clears every replayed slot
+        and parks the persistent tail at 0, and a new log starts with
+        ``head == 0``, so the live range ``[tail, head)`` a scan would
+        read is empty until this process fills entries into it."""
+        seqs = self._removals.get(path.encode("utf-8"))
+        if not seqs:
+            return False
+        return any(self.commit_group_of(seq) != COMMIT_FREE for seq in seqs)
+
+    def _index_removal(self, seq: int, source: bytes) -> None:
+        self._removals.setdefault(source, set()).add(seq)
+        self._removal_source[seq] = source
+
+    def _forget_removal(self, seq: int) -> None:
+        source = self._removal_source.pop(seq, None)
+        if source is not None:
+            seqs = self._removals[source]
+            seqs.discard(seq)
+            if not seqs:
+                del self._removals[source]
 
     def commit_group_of(self, seq: int) -> int:
         """The entry's commit word, served from the volatile slot mirror
@@ -327,6 +345,8 @@ class NvmmLog:
             rest = _HEADER.unpack(self.nvmm.load(addr, HEADER_SIZE))[1:]
             self.nvmm.store(addr, _HEADER.pack(COMMIT_FREE, *rest))
             self._slot_mirror[seq % self.entries] = (seq, COMMIT_FREE)
+            if self._removal_source:
+                self._forget_removal(seq)
             self.nvmm.pwb(addr)
             self.nvmm.pfence()
             new_tail = max(new_tail, seq + 1)

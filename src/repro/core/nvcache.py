@@ -246,10 +246,17 @@ class Nvcache:
         return 0
 
     def _finalize_fd(self, fd: int) -> Generator:
-        """Kernel-level close once no log entry references the fd."""
-        yield from self.kernel.close(fd)
-        yield from self.log.clear_path(fd)
+        """Kernel-level close once no log entry references the fd.
+
+        The bookkeeping goes first and the kernel close last: once the
+        kernel releases the fd number, a concurrent ``open`` may be
+        handed it, and retiring after that would drop the *new* file's
+        fd binding and pending count (the cleanup thread then crashed on
+        the new file's entries). Clearing the NVMM path slot while the
+        fd is still held likewise keeps it off the new binding."""
         nv_file = self.tables.retire_fd(fd)
+        yield from self.log.clear_path(fd)
+        yield from self.kernel.close(fd)
         if (nv_file is not None and nv_file.open_count == 0
                 and nv_file.pending_entries == 0 and nv_file.radix is not None):
             for _index, descriptor in nv_file.radix.items():

@@ -454,8 +454,10 @@ class PagingCache:
         return 0
 
     def _finalize_fd(self, fd: int) -> Generator:
-        yield from self.kernel.close(fd)
+        # Retire before the kernel releases the fd number (see
+        # Nvcache._finalize_fd).
         self.tables.retire_fd(fd)
+        yield from self.kernel.close(fd)
         return 0
 
     # -- write path --------------------------------------------------------
@@ -1261,6 +1263,9 @@ class WritebackThread:
                 txn = slot.txn
                 data = yield from nvmm.timed_load(
                     store.data_addr(slot.index), page_size)
+                if (slot.state != SLOT_DIRTY or slot.txn != txn
+                        or slot.nv_file is None):
+                    continue  # superseded (freed or reused) during the load
                 # The acked size bounds what the backend may see: the
                 # slot holds a zero-padded full page.
                 length = min(page_size, slot.nv_file.size - base)

@@ -60,8 +60,15 @@ class PageCache:
         self.capacity_pages = capacity_pages
         self.writeback_interval = writeback_interval
         self._pages: "OrderedDict[PageKey, CachedPage]" = OrderedDict()
+        # Per-inode index of the resident page numbers, the analogue of
+        # Linux's per-inode ``address_space``: truncate and invalidate
+        # visit one inode's pages instead of the whole LRU. Kept in step
+        # with every insert into and removal from ``_pages``.
+        self._inode_pages: Dict[Tuple[int, int], Set[int]] = {}
         self._dirty: Dict[Tuple[int, int], Set[int]] = {}
         self._inode_locks: Dict[Tuple[int, int], Lock] = {}
+        # Maps (fs_id, ino) back to live objects for dirty writeback/eviction.
+        self._resolve: Dict[Tuple[int, int], Tuple[object, Inode]] = {}
         self.stats = PageCacheStats()
         self._writeback_process = None
         if env.metrics is not None:
@@ -114,6 +121,20 @@ class PageCache:
     def _touch(self, key: PageKey) -> None:
         self._pages.move_to_end(key)
 
+    def _insert(self, key: PageKey, page: CachedPage) -> None:
+        self._pages[key] = page
+        fs_id, ino, index = key
+        self._inode_pages.setdefault((fs_id, ino), set()).add(index)
+
+    def _remove(self, key: PageKey) -> CachedPage:
+        page = self._pages.pop(key)
+        fs_id, ino, index = key
+        indices = self._inode_pages[fs_id, ino]
+        indices.discard(index)
+        if not indices:
+            del self._inode_pages[fs_id, ino]
+        return page
+
     def _mark_dirty(self, filesystem, inode: Inode, index: int, page: CachedPage) -> None:
         if page.dirty:
             self.stats.dirty_combines += 1
@@ -156,15 +177,8 @@ class PageCache:
                 yield from filesystem.write_page(inode, index, bytes(page.data))
                 self.stats.writeback_pages += 1
                 self._clear_dirty(filesystem, inode, index, page)
-            del self._pages[victim_key]
+            self._remove(victim_key)
             self.stats.evictions += 1
-
-    # Maps (fs_id, ino) back to live objects for dirty writeback/eviction.
-    @property
-    def _resolve(self):
-        if not hasattr(self, "_resolve_map"):
-            self._resolve_map = {}
-        return self._resolve_map
 
     def _remember(self, filesystem, inode: Inode) -> None:
         self._resolve[(id(filesystem), inode.number)] = (filesystem, inode)
@@ -197,7 +211,7 @@ class PageCache:
                     self.stats.misses += 1
                     data = yield from filesystem.read_page(inode, index)
                     page = CachedPage(bytearray(data))
-                    self._pages[key] = page
+                    self._insert(key, page)
                     yield from self._evict_if_needed()
                 else:
                     self.stats.hits += 1
@@ -235,7 +249,7 @@ class PageCache:
                         page = CachedPage(bytearray(data_in))
                     else:
                         page = CachedPage(bytearray(PAGE_SIZE))
-                    self._pages[key] = page
+                    self._insert(key, page)
                     self.stats.misses += 1
                 else:
                     self.stats.hits += 1
@@ -311,11 +325,11 @@ class PageCache:
         boundary page (dirty pages below the cut survive)."""
         fs_id = id(filesystem)
         keep = (size + PAGE_SIZE - 1) // PAGE_SIZE
-        for key in [k for k in self._pages
-                    if k[0] == fs_id and k[1] == inode.number and k[2] >= keep]:
-            page = self._pages.pop(key)
+        indices = self._inode_pages.get((fs_id, inode.number), ())
+        for index in [i for i in indices if i >= keep]:
+            page = self._remove((fs_id, inode.number, index))
             if page.dirty:
-                self._clear_dirty(filesystem, inode, key[2], page)
+                self._clear_dirty(filesystem, inode, index, page)
         boundary_index, in_page = divmod(size, PAGE_SIZE)
         if in_page:
             page = self._pages.get((fs_id, inode.number, boundary_index))
@@ -325,13 +339,14 @@ class PageCache:
     def invalidate(self, filesystem, inode: Inode) -> None:
         """Drop every page of an inode (used by truncate/unlink)."""
         fs_id = id(filesystem)
-        for key in [k for k in self._pages if k[0] == fs_id and k[1] == inode.number]:
-            del self._pages[key]
+        for index in self._inode_pages.pop((fs_id, inode.number), ()):
+            del self._pages[fs_id, inode.number, index]
         self._dirty.pop((fs_id, inode.number), None)
 
     def crash(self) -> None:
         """Power loss: all cached (including dirty) pages vanish."""
         self._pages.clear()
+        self._inode_pages.clear()
         self._dirty.clear()
 
     def shed(self) -> None:
@@ -348,5 +363,6 @@ class PageCache:
                 f"cannot shed a page cache holding {self.dirty_page_count()} "
                 "dirty page(s); sync before parking")
         self._pages.clear()
+        self._inode_pages.clear()
         self._inode_locks.clear()
         self._resolve.clear()

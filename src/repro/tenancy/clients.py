@@ -85,10 +85,12 @@ class TenantClient:
 
 
 def _payload(rng: random.Random, size: int) -> bytes:
-    """Deterministic pseudo-random payload (one draw per 4 bytes, like
-    the ycsb driver's value generator)."""
-    return b"".join(rng.getrandbits(32).to_bytes(4, "little")
-                    for _ in range(max(1, size // 4)))
+    """Deterministic pseudo-random payload: 4 bytes per 32-bit word, like
+    the ycsb driver's value generator. One wide draw fills the words
+    least significant first, so it equals one draw per word, packed
+    little-endian, and leaves the generator in the same state."""
+    words = max(1, size // 4)
+    return rng.getrandbits(32 * words).to_bytes(4 * words, "little")
 
 
 class FioClient(TenantClient):

@@ -141,3 +141,16 @@ def test_json_summary_flag_round_trips(ci_run):
     decoded = json.loads(json.dumps(payload))
     assert decoded["ok"] is True
     assert decoded["steps"][0]["name"] == "ok"
+
+
+def test_json_flag_leaves_stdout_pure_json(ci_run, monkeypatch, capsys):
+    steps = [ci_run.Step("ok", [sys.executable, "-c", "print('noise')"]),
+             ci_run.Step("soft", [sys.executable, "-c",
+                                  "import sys; sys.exit(3)"], advisory=True)]
+    monkeypatch.setattr(ci_run, "suite_steps", lambda suite, jobs: steps)
+    assert ci_run.main(["--suite", "lint", "--jobs", "1", "--json"]) == 0
+    out, err = capsys.readouterr()
+    summary = json.loads(out)
+    assert [step["name"] for step in summary["steps"]] == ["ok", "soft"]
+    assert summary["warnings"] == ["soft"]
+    assert "[pass] ok" in err and "step(s): 1 passed" in err

@@ -65,7 +65,8 @@ Examples::
 ``--json`` reports per-step wall-clock seconds, the run's total wall
 clock, and any cache-hit stats a step emitted as ``::cache::``-marked
 JSON lines (the fuzz corpus reuse path emits one), so CI caching is
-observable straight from job logs.
+observable straight from job logs. Standard output then holds only
+that JSON object; the per-step lines go to standard error.
 
 Exit codes: **0** every required step passed (advisory failures are
 reported but do not fail the run), **1** a required step failed,
@@ -75,6 +76,7 @@ reported but do not fail the run), **1** a required step failed,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import shlex
@@ -389,7 +391,8 @@ def main(argv=None) -> int:
                         help="list every command the suites would run, "
                              "then exit 0")
     parser.add_argument("--json", action="store_true",
-                        help="print the machine-readable summary on stdout")
+                        help="print the machine-readable summary on stdout "
+                             "(step lines move to stderr)")
     parser.add_argument("--junit", metavar="PATH", default=None,
                         help="write a JUnit XML summary to PATH")
     args = parser.parse_args(argv)
@@ -408,19 +411,25 @@ def main(argv=None) -> int:
             print(step.display())
         return 0
 
-    try:
-        results = run_steps(steps, jobs)
-    except Exception as exc:  # orchestrator bug, not a step failure
-        print(f"orchestrator error: {exc}", file=sys.stderr)
-        return 2
+    # With --json, stdout carries the JSON summary alone; the per-step
+    # lines a person reads go to stderr.
+    human = (contextlib.redirect_stdout(sys.stderr) if args.json
+             else contextlib.nullcontext())
+    with human:
+        try:
+            results = run_steps(steps, jobs)
+        except Exception as exc:  # orchestrator bug, not a step failure
+            print(f"orchestrator error: {exc}", file=sys.stderr)
+            return 2
 
-    failures = [r for r in results if not r.ok and not r.step.advisory]
-    warnings = [r for r in results if not r.ok and r.step.advisory]
-    print(f"\n{len(results)} step(s): {len(results) - len(failures) - len(warnings)} "
-          f"passed, {len(failures)} failed, {len(warnings)} advisory-failed")
-    if args.junit:
-        write_junit(args.junit, args.suite, results)
-        print(f"wrote {args.junit}")
+        failures = [r for r in results if not r.ok and not r.step.advisory]
+        warnings = [r for r in results if not r.ok and r.step.advisory]
+        print(f"\n{len(results)} step(s): "
+              f"{len(results) - len(failures) - len(warnings)} "
+              f"passed, {len(failures)} failed, {len(warnings)} advisory-failed")
+        if args.junit:
+            write_junit(args.junit, args.suite, results)
+            print(f"wrote {args.junit}")
     if args.json:
         print(json.dumps(summary_payload(args.suite, results),
                          indent=2, sort_keys=True))
