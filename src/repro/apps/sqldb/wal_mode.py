@@ -138,10 +138,6 @@ class WalPager(Pager):
         if self._wal_frames >= self.checkpoint_frames:
             yield from self.checkpoint()
 
-    def read_page_raw(self, number: int) -> Generator:
-        data = yield from self.libc.pread(self.fd, PAGE_SIZE, number * PAGE_SIZE)
-        return data.ljust(PAGE_SIZE, b"\x00")
-
     def rollback(self) -> Generator:
         if not self.in_transaction:
             raise RuntimeError("rollback outside a transaction")

@@ -403,6 +403,3 @@ class BlockDevice:
     def durable_snapshot(self) -> Dict[int, bytes]:
         """Copy of the durable blocks (for crash-consistency assertions)."""
         return dict(self._durable)
-
-    def written_blocks(self) -> int:
-        return len(self._durable) + len(self._cache)

@@ -70,10 +70,5 @@ class NvcacheConfig:
         if self.nhit_threshold < 1 or self.alru_staleness < 1:
             raise ValueError("policy knobs must be >= 1")
 
-    @property
-    def log_data_bytes(self) -> int:
-        """Payload capacity of the log (what the paper calls log size)."""
-        return self.entry_data_size * self.log_entries
-
 
 DEFAULT_CONFIG = NvcacheConfig()

@@ -11,6 +11,10 @@ This object stands in for the patched musl libc: applications call
 - fsync as a no-op — the log already made every write durable;
 - NVCache-maintained file sizes and cursors — the kernel's are stale
   while entries are in flight.
+
+:class:`CacheFacade` is the part of that surface the paging design
+(:mod:`repro.core.paging`) shares; :class:`Nvcache` adds the log, the
+DRAM read cache and the cleanup thread.
 """
 
 from __future__ import annotations
@@ -19,6 +23,9 @@ from typing import Generator
 
 from ..kernel.errno import EBADF, EINVAL, ENOENT, KernelError
 from ..kernel.fd_table import (
+    LOCK_EX,
+    LOCK_SH,
+    LOCK_UN,
     O_ACCMODE,
     O_APPEND,
     O_CREAT,
@@ -32,7 +39,7 @@ from ..kernel.fd_table import (
 from ..kernel.inode import Stat
 from ..nvmm import NvmmDevice
 from ..sim import Environment
-from .cleanup import CleanupThread
+from .cleanup import CleanupThread, DrainThread
 from .config import DEFAULT_CONFIG, NvcacheConfig
 from .files import FileTables, NvOpenFile
 from .log import NvmmLog
@@ -42,39 +49,247 @@ from .read_cache import PageDescriptor, ReadCache
 from .stats import NvcacheStats
 
 
-class Nvcache:
-    """One NVCache instance: log + read cache + cleanup thread."""
+class CacheFacade:
+    """The intercepted calls both cache designs serve the same way.
+
+    :class:`Nvcache` (logging) and
+    :class:`~repro.core.paging.PagingCache` (paging) differ in how a
+    write becomes durable and how a miss is served; everything else the
+    libc facade sees is shared here: fd lookup, the deferred close with
+    its fd-table backpressure, cursor-relative ``read``/``write``, the
+    ``pread`` checks and accounting, ``lseek``/``stat``/``fstat``
+    answered from the cache's fresh file sizes, durability calls as
+    no-ops, and the ``flock`` coherence point. A design supplies
+    ``open``, ``pwrite``, ``ftruncate``, ``unlink``, ``rename``,
+    ``_read_range`` (the bytes of a ``pread``), ``_finalize_fd`` (the
+    kernel close once nothing pending names the fd), ``_drop_clean``
+    (the flock hook), ``register_metrics`` and ``check_invariants``,
+    plus a :class:`~repro.core.cleanup.DrainThread` attached with
+    :meth:`_start`.
+    """
 
     def __init__(self, env: Environment, kernel, nvmm: NvmmDevice,
-                 config: NvcacheConfig = DEFAULT_CONFIG, name: str = "nvcache",
-                 start_cleanup: bool = True):
-        required = NvmmLog.required_size(config)
+                 config: NvcacheConfig, name: str, required: int,
+                 geometry: str):
         if nvmm.size < required:
             raise ValueError(
-                f"NVMM device of {nvmm.size} bytes too small for log "
+                f"NVMM device of {nvmm.size} bytes too small for {geometry} "
                 f"geometry needing {required} bytes")
         self.env = env
         self.kernel = kernel
         self.nvmm = nvmm
         self.config = config
         self.name = name
+        self.tables = FileTables()
+        self.cleanup = None  # the design's DrainThread, set by _start
+        self._m_write_latency = None
+        self._m_read_latency = None
+
+    def _start(self, cleanup: DrainThread, start_cleanup: bool) -> None:
+        """Attach the design's drain thread, register metrics, and start
+        the thread unless the caller drives it by hand."""
+        self.cleanup = cleanup
+        cleanup.finalize_fd = self._finalize_fd
+        if self.env.metrics is not None:
+            self.register_metrics(self.env.metrics)
+        if start_cleanup:
+            cleanup.start()
+
+    # -- helpers ---------------------------------------------------------------
+
+    def _handle(self, fd: int) -> NvOpenFile:
+        handle = self.tables.get(fd)
+        if handle is None:
+            raise KernelError(EBADF, f"fd {fd} not managed by NVCache")
+        return handle
+
+    def drain(self) -> Generator:
+        """Wait until every acknowledged write has reached the backend."""
+        yield self.cleanup.request_drain()
+
+    def shutdown(self) -> Generator:
+        """Drain and stop the background thread (clean unmount)."""
+        yield self.cleanup.request_drain()
+        self.cleanup.stop()
+
+    @staticmethod
+    def _readable(handle: NvOpenFile) -> bool:
+        return (handle.flags & O_ACCMODE) != 1  # not O_WRONLY
+
+    # -- close -----------------------------------------------------------------
+
+    def close(self, fd: int) -> Generator:
+        """Application close. Never blocks on the disk: if pending writes
+        still reference this fd, the *kernel* close is deferred until the
+        background thread retires them (which also expedites propagation —
+        the paper's close-as-coherence-point, made asynchronous). The fd
+        and its NVMM path slot stay reserved meanwhile, so recovery can
+        always resolve pending writes."""
+        self._handle(fd)
+        self.tables.unregister(fd)
+        if self.tables.pending_by_fd.get(fd, 0) == 0:
+            yield from self._finalize_fd(fd)
+        else:
+            self.tables.deferred_close.add(fd)
+            # Backpressure safety valve: an application that churns
+            # through descriptors faster than the disk drains would
+            # exhaust the NVMM path table; block this close until the
+            # background thread reduces the backlog (sustained saturation
+            # only — the table holds fd_max bindings). The thread fires
+            # the waiter the moment a batch shrinks the backlog, so no
+            # wakeups are burnt on polling it.
+            threshold = self.config.fd_max * 3 // 4
+            if len(self.tables.deferred_close) > threshold:
+                yield self.cleanup.request_close_headroom(threshold)
+            yield self.env.timeout(0.0)
+        return 0
+
+    # -- cursor-relative I/O -----------------------------------------------------
+
+    def write(self, fd: int, data: bytes) -> Generator:
+        handle = self._handle(fd)
+        if handle.flags & O_APPEND:
+            handle.cursor = handle.file.size
+        written = yield from self.pwrite(fd, data, handle.cursor)
+        handle.cursor += written
+        return written
+
+    def read(self, fd: int, nbytes: int) -> Generator:
+        handle = self._handle(fd)
+        data = yield from self.pread(fd, nbytes, handle.cursor)
+        handle.cursor += len(data)
+        return data
+
+    def pread(self, fd: int, nbytes: int, offset: int) -> Generator:
+        """Argument checks, size clamp and accounting shared by every
+        design; the design's ``_read_range`` fetches the bytes."""
+        handle = self._handle(fd)
+        if not self._readable(handle):
+            raise KernelError(EBADF, f"fd {fd} not open for reading")
+        if offset < 0 or nbytes < 0:
+            raise KernelError(EINVAL, f"offset {offset} nbytes {nbytes}")
+        nv_file = handle.file
+        self.stats.reads += 1
+        if offset >= nv_file.size:
+            yield self.env.timeout(0.0)
+            return b""
+        began = self.env.now
+        data = yield from self._read_range(
+            handle, min(nbytes, nv_file.size - offset), offset)
+        self.stats.bytes_read += len(data)
+        if self.env.qos is not None:
+            self.env.qos.tally_read(len(data))
+        if self._m_read_latency is not None:
+            tracer = self.env.tracer
+            self._m_read_latency.observe(
+                self.env.now - began,
+                trace_id=tracer.current_trace_id(self.env)
+                if tracer is not None else None)
+        return data
+
+    # -- metadata (served from the cache's fresh view) ------------------------------------------
+
+    def lseek(self, fd: int, offset: int, whence: int = SEEK_SET) -> Generator:
+        handle = self._handle(fd)
+        if whence == SEEK_SET:
+            new = offset
+        elif whence == SEEK_CUR:
+            new = handle.cursor + offset
+        elif whence == SEEK_END:
+            new = handle.file.size + offset
+        else:
+            raise KernelError(EINVAL, f"whence {whence}")
+        if new < 0:
+            raise KernelError(EINVAL, f"offset {new}")
+        handle.cursor = new
+        yield self.env.timeout(0.0)
+        return new
+
+    def ftell(self, fd: int) -> int:
+        return self._handle(fd).cursor
+
+    def stat(self, path: str) -> Generator:
+        st = yield from self.kernel.stat(path)
+        nv_file = self.tables.files.get((st.st_dev, st.st_ino))
+        if nv_file is not None and nv_file.size != st.st_size:
+            st = Stat(st.st_dev, st.st_ino, st.st_mode, nv_file.size, st.st_nlink)
+        return st
+
+    def fstat(self, fd: int) -> Generator:
+        handle = self._handle(fd)
+        st = yield from self.kernel.fstat(fd)
+        if handle.file.size != st.st_size:
+            st = Stat(st.st_dev, st.st_ino, st.st_mode, handle.file.size, st.st_nlink)
+        return st
+
+    # -- durability calls: already durable, so no-ops (paper Table III) --------------------------
+
+    def fsync(self, fd: int) -> Generator:
+        self._handle(fd)
+        self.stats.fsyncs_ignored += 1
+        yield self.env.timeout(0.0)
+        return 0
+
+    def fdatasync(self, fd: int) -> Generator:
+        result = yield from self.fsync(fd)
+        return result
+
+    def sync(self) -> Generator:
+        self.stats.fsyncs_ignored += 1
+        yield self.env.timeout(0.0)
+        return 0
+
+    def syncfs(self, fd: int) -> Generator:
+        result = yield from self.fsync(fd)
+        return result
+
+    # -- namespace passthroughs ------------------------------------------------
+
+    def mkdir(self, path: str) -> Generator:
+        result = yield from self.kernel.mkdir(path)
+        return result
+
+    def flock(self, fd: int, operation: int) -> Generator:
+        """flock is the coherence point for multi-process sharing
+        (paper §I): releasing a lock flushes this instance's user-space
+        writes down to the kernel; acquiring one discards this instance's
+        (possibly stale) clean cached pages and refreshes the file size,
+        so reads under the lock see the other process's flushed writes."""
+        handle = self._handle(fd)
+        nv_file = handle.file
+        if operation & LOCK_UN:
+            # Unlock: everything we wrote must be visible through the
+            # kernel to whoever locks next.
+            if nv_file.pending_entries:
+                yield self.cleanup.request_drain()
+        elif operation & (LOCK_SH | LOCK_EX):
+            # Acquire: another instance may have updated the file
+            # through the kernel; drop our clean pages and re-stat.
+            self._drop_clean(nv_file)
+            st = yield from self.kernel.fstat(fd)
+            if nv_file.pending_entries == 0:
+                nv_file.size = st.st_size
+        result = yield from self.kernel.flock(fd, operation)
+        return result
+
+
+class Nvcache(CacheFacade):
+    """One NVCache instance: log + read cache + cleanup thread."""
+
+    def __init__(self, env: Environment, kernel, nvmm: NvmmDevice,
+                 config: NvcacheConfig = DEFAULT_CONFIG, name: str = "nvcache",
+                 start_cleanup: bool = True):
+        super().__init__(env, kernel, nvmm, config, name,
+                         NvmmLog.required_size(config), "log")
         self.stats = NvcacheStats()
         self.log = NvmmLog(env, nvmm, config, self.stats)
-        self.tables = FileTables()
         self.read_cache = ReadCache(
             env, config.read_cache_pages, config.page_size, self.stats,
             policy=make_policy(config.policy,
                                nhit_threshold=config.nhit_threshold,
                                alru_staleness=config.alru_staleness))
-        self.cleanup = CleanupThread(env, self.log, kernel, self.tables,
-                                     config, self.stats)
-        self.cleanup.finalize_fd = self._finalize_fd
-        self._m_write_latency = None
-        self._m_read_latency = None
-        if env.metrics is not None:
-            self.register_metrics(env.metrics)
-        if start_cleanup:
-            self.cleanup.start()
+        self._start(CleanupThread(env, self.log, kernel, self.tables,
+                                  config, self.stats), start_cleanup)
 
     def register_metrics(self, registry) -> None:
         """Expose the instance under ``core.nvcache.*`` plus the log
@@ -154,23 +369,6 @@ class Nvcache:
             "batch_size", unit="entries", help="entries per retired batch",
             start=1.0, factor=2.0, buckets=24)
 
-    # -- helpers ---------------------------------------------------------------
-
-    def _handle(self, fd: int) -> NvOpenFile:
-        handle = self.tables.get(fd)
-        if handle is None:
-            raise KernelError(EBADF, f"fd {fd} not managed by NVCache")
-        return handle
-
-    def drain(self) -> Generator:
-        """Wait until every logged write has been propagated and retired."""
-        yield self.cleanup.request_drain()
-
-    def shutdown(self) -> Generator:
-        """Drain the log and stop the cleanup thread (clean unmount)."""
-        yield self.cleanup.request_drain()
-        self.cleanup.stop()
-
     # -- open / close ---------------------------------------------------------------
 
     def open(self, path: str, flags: int = O_RDONLY, mode: int = 0o644) -> Generator:
@@ -218,32 +416,6 @@ class Nvcache:
         self.tables.register(fd, nv_file, flags, cursor)
         yield from self.log.set_path(fd, path)
         return fd
-
-    def close(self, fd: int) -> Generator:
-        """Application close. Never blocks on the disk: if log entries
-        still reference this fd, the *kernel* close is deferred until the
-        cleanup thread retires them (which also expedites propagation —
-        the paper's close-as-coherence-point, made asynchronous). The fd
-        and its NVMM path slot stay reserved meanwhile, so recovery can
-        always resolve pending entries."""
-        self._handle(fd)
-        self.tables.unregister(fd)
-        if self.tables.pending_by_fd.get(fd, 0) == 0:
-            yield from self._finalize_fd(fd)
-        else:
-            self.tables.deferred_close.add(fd)
-            # Backpressure safety valve: an application that churns
-            # through descriptors faster than the disk drains would
-            # exhaust the NVMM path table; block this close until the
-            # cleanup thread reduces the backlog (sustained saturation
-            # only — the table holds fd_max bindings). The cleanup
-            # thread fires the waiter the moment a batch shrinks the
-            # backlog, so no wakeups are burnt on polling it.
-            threshold = self.config.fd_max * 3 // 4
-            if len(self.tables.deferred_close) > threshold:
-                yield self.cleanup.request_close_headroom(threshold)
-            yield self.env.timeout(0.0)
-        return 0
 
     def _finalize_fd(self, fd: int) -> Generator:
         """Kernel-level close once no log entry references the fd.
@@ -388,43 +560,21 @@ class Nvcache:
         descriptor.content.data[overlap_start - page_start:overlap_end - page_start] = \
             data[overlap_start - offset:overlap_end - offset]
 
-    def write(self, fd: int, data: bytes) -> Generator:
-        handle = self._handle(fd)
-        if handle.flags & O_APPEND:
-            handle.cursor = handle.file.size
-        written = yield from self.pwrite(fd, data, handle.cursor)
-        handle.cursor += written
-        return written
-
     # -- read path -------------------------------------------------------------------------
 
-    def pread(self, fd: int, nbytes: int, offset: int) -> Generator:
-        handle = self._handle(fd)
-        if not self._readable(handle):
-            raise KernelError(EBADF, f"fd {fd} not open for reading")
-        if offset < 0 or nbytes < 0:
-            raise KernelError(EINVAL, f"offset {offset} nbytes {nbytes}")
+    def _read_range(self, handle: NvOpenFile, nbytes: int,
+                    offset: int) -> Generator:
+        """Read ``nbytes`` (already clamped to the file size) at
+        ``offset``: read-only files straight from the kernel, others page
+        by page through the read cache."""
+        fd = handle.fd
         nv_file = handle.file
-        self.stats.reads += 1
-        if offset >= nv_file.size:
-            yield self.env.timeout(0.0)
-            return b""
-        nbytes = min(nbytes, nv_file.size - offset)
-        began = self.env.now
         tracer = self.env.tracer
         if nv_file.radix is None:
             # Read-only file: the kernel page cache is authoritative and
             # NVCache stays entirely out of the way (paper §II-A).
             self.stats.read_only_bypass += 1
             data = yield from self.kernel.pread(fd, nbytes, offset)
-            self.stats.bytes_read += len(data)
-            if self.env.qos is not None:
-                self.env.qos.tally_read(len(data))
-            if self._m_read_latency is not None:
-                self._m_read_latency.observe(
-                    self.env.now - began,
-                    trace_id=tracer.current_trace_id(self.env)
-                    if tracer is not None else None)
             return data
 
         page_size = self.config.page_size
@@ -482,14 +632,6 @@ class Nvcache:
             finally:
                 descriptor.atomic_lock.release()
             position += chunk
-        self.stats.bytes_read += len(out)
-        if self.env.qos is not None:
-            self.env.qos.tally_read(len(out))
-        if self._m_read_latency is not None:
-            self._m_read_latency.observe(
-                self.env.now - began,
-                trace_id=tracer.current_trace_id(self.env)
-                if tracer is not None else None)
         return bytes(out)
 
     def _load_page(self, handle: NvOpenFile, descriptor: PageDescriptor) -> Generator:
@@ -538,51 +680,6 @@ class Nvcache:
             descriptor.cleanup_lock.release()
         return buffer
 
-    @staticmethod
-    def _readable(handle: NvOpenFile) -> bool:
-        return (handle.flags & O_ACCMODE) != 1  # not O_WRONLY
-
-    def read(self, fd: int, nbytes: int) -> Generator:
-        handle = self._handle(fd)
-        data = yield from self.pread(fd, nbytes, handle.cursor)
-        handle.cursor += len(data)
-        return data
-
-    # -- metadata (served from NVCache's fresh view) ------------------------------------------
-
-    def lseek(self, fd: int, offset: int, whence: int = SEEK_SET) -> Generator:
-        handle = self._handle(fd)
-        if whence == SEEK_SET:
-            new = offset
-        elif whence == SEEK_CUR:
-            new = handle.cursor + offset
-        elif whence == SEEK_END:
-            new = handle.file.size + offset
-        else:
-            raise KernelError(EINVAL, f"whence {whence}")
-        if new < 0:
-            raise KernelError(EINVAL, f"offset {new}")
-        handle.cursor = new
-        yield self.env.timeout(0.0)
-        return new
-
-    def ftell(self, fd: int) -> int:
-        return self._handle(fd).cursor
-
-    def stat(self, path: str) -> Generator:
-        st = yield from self.kernel.stat(path)
-        nv_file = self.tables.files.get((st.st_dev, st.st_ino))
-        if nv_file is not None and nv_file.size != st.st_size:
-            st = Stat(st.st_dev, st.st_ino, st.st_mode, nv_file.size, st.st_nlink)
-        return st
-
-    def fstat(self, fd: int) -> Generator:
-        handle = self._handle(fd)
-        st = yield from self.kernel.fstat(fd)
-        if handle.file.size != st.st_size:
-            st = Stat(st.st_dev, st.st_ino, st.st_mode, handle.file.size, st.st_nlink)
-        return st
-
     def ftruncate(self, fd: int, size: int) -> Generator:
         """Drain the file's pending entries first: a pending pre-truncate
         write replayed after the cut would resurrect stale bytes into any
@@ -611,27 +708,6 @@ class Nvcache:
                         descriptor.content.data[in_page:] = b"\x00" * (page_size - in_page)
         return 0
 
-    # -- durability calls: already durable, so no-ops (paper Table III) --------------------------
-
-    def fsync(self, fd: int) -> Generator:
-        self._handle(fd)
-        self.stats.fsyncs_ignored += 1
-        yield self.env.timeout(0.0)
-        return 0
-
-    def fdatasync(self, fd: int) -> Generator:
-        result = yield from self.fsync(fd)
-        return result
-
-    def sync(self) -> Generator:
-        self.stats.fsyncs_ignored += 1
-        yield self.env.timeout(0.0)
-        return 0
-
-    def syncfs(self, fd: int) -> Generator:
-        result = yield from self.fsync(fd)
-        return result
-
     # -- passthroughs (namespace operations are not cached) ----------------------------------------
 
     def _log_namespace_op(self, op: int, offset: int, payload: bytes) -> Generator:
@@ -656,36 +732,13 @@ class Nvcache:
         result = yield from self.kernel.rename(old, new)
         return result
 
-    def mkdir(self, path: str) -> Generator:
-        result = yield from self.kernel.mkdir(path)
-        return result
-
-    def flock(self, fd: int, operation: int) -> Generator:
-        """flock is the coherence point for multi-process sharing
-        (paper §I): releasing a lock flushes this instance's user-space
-        writes down to the kernel; acquiring one discards this instance's
-        (possibly stale) read cache and refreshes the file size, so reads
-        under the lock see the other process's flushed writes."""
-        from ..kernel.fd_table import LOCK_EX, LOCK_SH, LOCK_UN
-        handle = self._handle(fd)
-        nv_file = handle.file
-        if operation & LOCK_UN:
-            # Unlock: everything we wrote must be visible through the
-            # kernel to whoever locks next.
-            if nv_file.pending_entries:
-                yield self.cleanup.request_drain()
-        elif operation & (LOCK_SH | LOCK_EX):
-            # Acquire: another NVCache instance may have updated the file
-            # through the kernel; drop our cached pages and re-stat.
-            if nv_file.radix is not None:
-                for _index, descriptor in nv_file.radix.items():
-                    if descriptor.content is not None and not descriptor.pending:
-                        self.read_cache.release(descriptor.content)
-            st = yield from self.kernel.fstat(fd)
-            if nv_file.pending_entries == 0:
-                nv_file.size = st.st_size
-        result = yield from self.kernel.flock(fd, operation)
-        return result
+    def _drop_clean(self, nv_file) -> None:
+        """flock acquire: release the file's read-cache pages that no
+        pending log entry still covers."""
+        if nv_file.radix is not None:
+            for _index, descriptor in nv_file.radix.items():
+                if descriptor.content is not None and not descriptor.pending:
+                    self.read_cache.release(descriptor.content)
 
     # -- introspection -------------------------------------------------------------------------------
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Generator
 
-from ..kernel.errno import EBADF, EINVAL, KernelError
+from .files import NvOpenFile
 from .nvcache import Nvcache
 
 
@@ -32,19 +32,10 @@ class NvlogLite(Nvcache):
     is authoritative once the log is drained.
     """
 
-    def pread(self, fd: int, nbytes: int, offset: int) -> Generator:
-        handle = self._handle(fd)
-        if not self._readable(handle):
-            raise KernelError(EBADF, f"fd {fd} not open for reading")
-        if offset < 0 or nbytes < 0:
-            raise KernelError(EINVAL, f"offset {offset} nbytes {nbytes}")
+    def _read_range(self, handle: NvOpenFile, nbytes: int,
+                    offset: int) -> Generator:
+        fd = handle.fd
         nv_file = handle.file
-        self.stats.reads += 1
-        if offset >= nv_file.size:
-            yield self.env.timeout(0.0)
-            return b""
-        nbytes = min(nbytes, nv_file.size - offset)
-        began = self.env.now
         tracer = self.env.tracer
         if nv_file.pending_entries > 0:
             # Read-your-writes without a DRAM cache: the log must reach
@@ -65,12 +56,4 @@ class NvlogLite(Nvcache):
         finally:
             if token is not None:
                 tracer.end(self.env, token)
-        self.stats.bytes_read += len(data)
-        if self.env.qos is not None:
-            self.env.qos.tally_read(len(data))
-        if self._m_read_latency is not None:
-            self._m_read_latency.observe(
-                self.env.now - began,
-                trace_id=tracer.current_trace_id(self.env)
-                if tracer is not None else None)
         return data

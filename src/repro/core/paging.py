@@ -66,16 +66,14 @@ from ..kernel.fd_table import (
     O_RDONLY,
     O_RDWR,
     O_TRUNC,
-    SEEK_CUR,
-    SEEK_END,
-    SEEK_SET,
 )
-from ..kernel.inode import Stat
 from ..nvmm import NvmmDevice, RegionAllocator, read_cstring, write_cstring
 from ..sim import Environment, Lock, Waitable
 from ..units import CACHE_LINE_SIZE
+from .cleanup import _TICK, DrainThread
 from .config import DEFAULT_CONFIG, NvcacheConfig
-from .files import FileTables, NvFile, NvOpenFile
+from .files import NvFile, NvOpenFile
+from .nvcache import CacheFacade
 from .policies import CachePolicy, LruPolicy, make_policy
 
 _META = struct.Struct("<QQQQQ")
@@ -85,8 +83,6 @@ META_STRIDE = CACHE_LINE_SIZE     # one cache line per record
 SLOT_FREE = 0
 SLOT_DIRTY = 1
 SLOT_CLEAN = 2
-
-_TICK = 1e-3  # writeback poll interval while idle (simulated seconds)
 
 
 def _align(value: int, alignment: int = CACHE_LINE_SIZE) -> int:
@@ -106,7 +102,7 @@ class PagingStats:
     overwrite_hits: int = 0        # written pages already resident
     fill_reads: int = 0            # partial-page writes read-filled from disk
     promotions: int = 0            # read misses admitted into NVMM
-    promotions_skipped: int = 0    # read misses the policy declined
+    promotions_skipped: int = 0    # read misses not promoted (gate, slots, lock)
     evictions: int = 0             # CLEAN slots recycled
     txn_commits: int = 0
     full_waits: int = 0            # writes stalled waiting for a slot
@@ -228,30 +224,30 @@ class PageSlot:
         self.fd = -1                 # writing fd (writeback flushes via it)
         self.nv_file: Optional[NvFile] = None
 
+    def free(self) -> None:
+        """Reset to an unmapped FREE slot (volatile state only)."""
+        self.state = SLOT_FREE
+        self.key = None
+        self.txn = 0
+        self.fd = -1
+        self.nv_file = None
 
-class PagingCache:
+
+class PagingCache(CacheFacade):
     """One paging-mode cache instance: page table + writeback thread.
 
-    Facade-compatible with :class:`~repro.core.nvcache.Nvcache`: the
-    same libc wrapper, oracle, crash explorer, and harness drive it.
+    Shares :class:`~repro.core.nvcache.CacheFacade` with
+    :class:`~repro.core.nvcache.Nvcache`, so the same libc wrapper,
+    oracle, crash explorer, and harness drive it.
     """
 
     def __init__(self, env: Environment, kernel, nvmm: NvmmDevice,
                  config: NvcacheConfig = DEFAULT_CONFIG, name: str = "paging",
                  start_cleanup: bool = True):
-        required = PagingStore.required_size(config)
-        if nvmm.size < required:
-            raise ValueError(
-                f"NVMM device of {nvmm.size} bytes too small for paging "
-                f"geometry needing {required} bytes")
-        self.env = env
-        self.kernel = kernel
-        self.nvmm = nvmm
-        self.config = config
-        self.name = name
+        super().__init__(env, kernel, nvmm, config, name,
+                         PagingStore.required_size(config), "paging")
         self.stats = PagingStats()
         self.store = PagingStore(env, nvmm, config)
-        self.tables = FileTables()
         self.policy: CachePolicy = (
             make_policy(config.policy,
                         nhit_threshold=config.nhit_threshold,
@@ -276,19 +272,11 @@ class PagingCache:
         # file-id assignment (volatile mirror of the NVMM file table).
         self._fid_by_key: Dict[Tuple[int, int], int] = {}
         self._free_fids: List[int] = list(range(config.fd_max - 1, -1, -1))
-        self._fid_pages: Dict[int, int] = {}   # fid -> resident slots
         self._next_txn = self.store.committed_txn() + 1
         self.txn_lock = Lock(env, name=f"{name}.txn")
         self._slot_waiters: List[Waitable] = []
-        self.cleanup = WritebackThread(env, self, kernel, config, self.stats)
-        self.cleanup.finalize_fd = self._finalize_fd
-        self._m_write_latency = None
-        self._m_read_latency = None
-        self._m_batch_size = None
-        if env.metrics is not None:
-            self.register_metrics(env.metrics)
-        if start_cleanup:
-            self.cleanup.start()
+        self._start(WritebackThread(env, self, kernel, config, self.stats),
+                    start_cleanup)
 
     def register_metrics(self, registry) -> None:
         """Expose the instance under ``core.paging.*`` (the paging-mode
@@ -318,7 +306,8 @@ class PagingCache:
                   help="read misses promoted into NVMM",
                   fn=lambda: stats.promotions)
         m.counter("promotions_skipped", unit="pages",
-                  help="read misses the policy's admission gate declined",
+                  help="read misses not promoted: admission gate declined, "
+                       "no free slot, or txn lock busy",
                   fn=lambda: stats.promotions_skipped)
         m.counter("evictions", unit="pages", help="CLEAN slots recycled",
                   fn=lambda: stats.evictions)
@@ -358,25 +347,9 @@ class PagingCache:
             help="app-visible pwrite latency (durable at return)")
         self._m_read_latency = m.histogram(
             "read_latency", unit="s", help="app-visible pread latency")
-        self._m_batch_size = m.histogram(
+        self.cleanup._m_batch_size = m.histogram(
             "writeback_batch_pages", unit="pages",
             help="dirty pages flushed per writeback batch")
-
-    # -- helpers -----------------------------------------------------------
-
-    def _handle(self, fd: int) -> NvOpenFile:
-        handle = self.tables.get(fd)
-        if handle is None:
-            raise KernelError(EBADF, f"fd {fd} not managed by NVCache")
-        return handle
-
-    def drain(self) -> Generator:
-        """Wait until every committed dirty page is on the backend."""
-        yield self.cleanup.request_drain()
-
-    def shutdown(self) -> Generator:
-        yield self.cleanup.request_drain()
-        self.cleanup.stop()
 
     def _fid_for(self, nv_file: NvFile) -> Generator:
         """Assign (or look up) the file's durable file id. The path is
@@ -388,7 +361,6 @@ class PagingCache:
                 raise KernelError(EINVAL, "paging file table exhausted")
             fid = self._free_fids.pop()
             self._fid_by_key[nv_file.key] = fid
-            self._fid_pages[fid] = 0
             yield from self.store.set_fid_path(fid, nv_file.path)
         else:
             yield self.env.timeout(0.0)
@@ -397,7 +369,6 @@ class PagingCache:
     def _release_fid(self, nv_file: NvFile) -> None:
         fid = self._fid_by_key.pop(nv_file.key, None)
         if fid is not None:
-            self._fid_pages.pop(fid, None)
             self.store.clear_fid_path(fid)
             self._free_fids.append(fid)
 
@@ -413,45 +384,48 @@ class PagingCache:
         # the cache IS the durability point, and writeback depends on
         # page-cache write combining.
         flags &= ~O_DIRECT
-        writable = (flags & O_ACCMODE) != O_RDONLY
-        if flags & O_TRUNC and writable:
-            # Truncate-at-open: resident pages of the old incarnation
-            # must not survive the cut. Drain + durably invalidate
-            # BEFORE the kernel open wipes the backend file (namespace
-            # ops are synchronous on the backend; see docs/POLICIES.md).
+        truncate = bool(flags & O_TRUNC) and (flags & O_ACCMODE) != O_RDONLY
+        if not truncate:
+            fd = yield from self._open_registered(path, flags, mode, False)
+            return fd
+        # Truncate-at-open, serialized with writes and the other
+        # namespace ops (as ftruncate is): resident pages of the old
+        # incarnation must not survive the cut, and a write holding the
+        # file id must not commit into a released one. Drain + durably
+        # invalidate BEFORE the kernel open wipes the backend file
+        # (namespace ops are synchronous on the backend; see
+        # docs/POLICIES.md).
+        yield self.txn_lock.acquire()
+        try:
             try:
                 st = yield from self.kernel.stat(path)
             except KernelError as exc:
                 if exc.errno != ENOENT:
                     raise
                 st = None
-            if st is not None and st.st_size:
-                nv_file = self.tables.files.get((st.st_dev, st.st_ino))
-                yield from self._invalidate_file(nv_file, (st.st_dev, st.st_ino))
+            if st is not None:
+                key = (st.st_dev, st.st_ino)
+                nv_file = self.tables.files.get(key)
+                # Pages still dirty here may hold all the file has: the
+                # backend size alone can read 0.
+                if st.st_size or (nv_file is not None and nv_file.size):
+                    yield from self._invalidate_file(nv_file, key)
+            fd = yield from self._open_registered(path, flags, mode, True)
+        finally:
+            self.txn_lock.release()
+        return fd
+
+    def _open_registered(self, path: str, flags: int, mode: int,
+                         truncate: bool) -> Generator:
         fd = yield from self.kernel.open(path, flags, mode)
         st = yield from self.kernel.fstat(fd)
         key = (st.st_dev, st.st_ino)
         nv_file = self.tables.file_for(key, path, st.st_size, self.env)
-        if flags & O_TRUNC and writable:
+        if truncate:
             nv_file.size = 0
         cursor = nv_file.size if flags & O_APPEND else 0
         self.tables.register(fd, nv_file, flags, cursor)
         return fd
-
-    def close(self, fd: int) -> Generator:
-        """Application close; the kernel close is deferred while dirty
-        pages still flush through this fd (same contract as Nvcache)."""
-        self._handle(fd)
-        self.tables.unregister(fd)
-        if self.tables.pending_by_fd.get(fd, 0) == 0:
-            yield from self._finalize_fd(fd)
-        else:
-            self.tables.deferred_close.add(fd)
-            threshold = self.config.fd_max * 3 // 4
-            if len(self.tables.deferred_close) > threshold:
-                yield self.cleanup.request_close_headroom(threshold)
-            yield self.env.timeout(0.0)
-        return 0
 
     def _finalize_fd(self, fd: int) -> Generator:
         # Retire before the kernel releases the fd number (see
@@ -540,8 +514,6 @@ class PagingCache:
                 old = self._map.get(key)
                 if old is not None:
                     self._supersede(old)
-                else:
-                    self._fid_pages[fid] += 1
                 slot.state = SLOT_DIRTY
                 slot.txn = txn
                 slot.key = key
@@ -642,11 +614,7 @@ class PagingCache:
                 slot.nv_file.pending_entries -= 1
             remaining = self.tables.pending_by_fd.get(slot.fd, 0) - 1
             self.tables.pending_by_fd[slot.fd] = max(0, remaining)
-        slot.state = SLOT_FREE
-        slot.key = None
-        slot.txn = 0
-        slot.fd = -1
-        slot.nv_file = None
+        slot.free()
         self.store.clear_meta(slot.index)
         self._media_fid.pop(slot.index, None)
         self._lazy_clears += 1
@@ -688,54 +656,34 @@ class PagingCache:
             if slot is None or slot.state != SLOT_CLEAN:
                 continue
             del self._map[key]
-            fid = key[0]
-            if fid in self._fid_pages:
-                self._fid_pages[fid] -= 1
             self.policy.record_evict(key)
             self.stats.evictions += 1
-            slot.state = SLOT_FREE
-            slot.key = None
-            slot.txn = 0
-            slot.fd = -1
-            slot.nv_file = None
+            slot.free()
             # No durable clear needed: recovery skips CLEAN records,
             # and the slot's next meta store overwrites this one.
             self._media_fid.pop(slot.index, None)
             return slot
         return None
 
-    def write(self, fd: int, data: bytes) -> Generator:
-        handle = self._handle(fd)
-        if handle.flags & O_APPEND:
-            handle.cursor = handle.file.size
-        written = yield from self.pwrite(fd, data, handle.cursor)
-        handle.cursor += written
-        return written
-
     # -- read path ---------------------------------------------------------
 
-    def pread(self, fd: int, nbytes: int, offset: int) -> Generator:
-        handle = self._handle(fd)
-        if not self._readable(handle):
-            raise KernelError(EBADF, f"fd {fd} not open for reading")
-        if offset < 0 or nbytes < 0:
-            raise KernelError(EINVAL, f"offset {offset} nbytes {nbytes}")
+    def _read_range(self, handle: NvOpenFile, nbytes: int,
+                    offset: int) -> Generator:
+        """Page by page: resident slots from NVMM, the rest from the
+        backend (a miss may be promoted)."""
+        fd = handle.fd
         nv_file = handle.file
-        self.stats.reads += 1
-        if offset >= nv_file.size:
-            yield self.env.timeout(0.0)
-            return b""
-        nbytes = min(nbytes, nv_file.size - offset)
-        began = self.env.now
         tracer = self.env.tracer
         page_size = self.config.page_size
-        fid = self._fid_by_key.get(nv_file.key)
         out = bytearray()
         position = offset
         end = offset + nbytes
         while position < end:
             page, in_page = divmod(position, page_size)
             chunk = min(end - position, page_size - in_page)
+            # Looked up per page: an unlink during this read may release
+            # the file id and a new file may already hold it.
+            fid = self._fid_by_key.get(nv_file.key)
             slot = self._map.get((fid, page)) if fid is not None else None
             if slot is not None and slot.state != SLOT_FREE:
                 # Hit: serve straight from the resident NVMM page.
@@ -784,23 +732,19 @@ class PagingCache:
                 yield from self._maybe_promote(nv_file, page, buffer)
                 out += buffer[in_page:in_page + chunk]
             position += chunk
-        self.stats.bytes_read += len(out)
-        if self.env.qos is not None:
-            self.env.qos.tally_read(len(out))
-        if self._m_read_latency is not None:
-            self._m_read_latency.observe(
-                self.env.now - began,
-                trace_id=tracer.current_trace_id(self.env)
-                if tracer is not None else None)
         return bytes(out)
 
     def _maybe_promote(self, nv_file: NvFile, page: int,
                        buffer: bytearray) -> Generator:
         """Promote a missed page into NVMM as a CLEAN slot with txn = 0
         (recovery ignores both CLEAN and txn-0 records, so a torn
-        promotion can never resurrect) — if the policy admits it and a
-        slot is free without waiting. Never promotes over a page that
-        became resident while the backend read was in flight."""
+        promotion can never resurrect) — if the policy admits it, a
+        slot is free without waiting, and ``txn_lock`` is free. The lock
+        is held across the store so no unlink, rename or truncate can
+        release the file id before the slot is mapped under it; a busy
+        lock skips the promotion (best-effort, like a full cache). Never
+        promotes over a page that became resident while the backend read
+        was in flight."""
         fid = self._fid_by_key.get(nv_file.key)
         probe_key = (fid, page) if fid is not None else (nv_file.key, page)
         if not self.policy.admit(probe_key):
@@ -810,20 +754,29 @@ class PagingCache:
         if fid is not None and (fid, page) in self._map:
             yield self.env.timeout(0.0)
             return
+        if not self.txn_lock.try_acquire():
+            self.stats.promotions_skipped += 1
+            yield self.env.timeout(0.0)
+            return
+        try:
+            yield from self._promote(nv_file, fid, page, buffer)
+        finally:
+            self.txn_lock.release()
+
+    def _promote(self, nv_file: NvFile, fid: Optional[int], page: int,
+                 buffer: bytearray) -> Generator:
         slot = None
-        if self._free:
-            slot = self.slots[self._free.pop()]
-        else:
-            slot = self._evict_clean()
+        if fid is not None or self._free_fids:
+            slot = self.slots[self._free.pop()] if self._free else self._evict_clean()
         if slot is None:
+            # Best-effort: no slot free without waiting, or no file id
+            # left for a file the table does not know yet. Never fail
+            # the read over it.
             self.stats.promotions_skipped += 1
             yield self.env.timeout(0.0)
             return
         if fid is None:
             fid = yield from self._fid_for(nv_file)
-            if (fid, page) in self._map:
-                self._free.append(slot.index)
-                return
         self.nvmm.store(self.store.data_addr(slot.index), bytes(buffer))
         self.nvmm.pwb_range(self.store.data_addr(slot.index),
                             self.config.page_size)
@@ -841,54 +794,8 @@ class PagingCache:
         slot.fd = -1
         slot.nv_file = nv_file
         self._map[key] = slot
-        self._fid_pages[fid] += 1
         self.policy.record_insert(key)
         self.stats.promotions += 1
-
-    @staticmethod
-    def _readable(handle: NvOpenFile) -> bool:
-        return (handle.flags & O_ACCMODE) != 1  # not O_WRONLY
-
-    def read(self, fd: int, nbytes: int) -> Generator:
-        handle = self._handle(fd)
-        data = yield from self.pread(fd, nbytes, handle.cursor)
-        handle.cursor += len(data)
-        return data
-
-    # -- metadata (served from the cache's fresh view) ---------------------
-
-    def lseek(self, fd: int, offset: int, whence: int = SEEK_SET) -> Generator:
-        handle = self._handle(fd)
-        if whence == SEEK_SET:
-            new = offset
-        elif whence == SEEK_CUR:
-            new = handle.cursor + offset
-        elif whence == SEEK_END:
-            new = handle.file.size + offset
-        else:
-            raise KernelError(EINVAL, f"whence {whence}")
-        if new < 0:
-            raise KernelError(EINVAL, f"offset {new}")
-        handle.cursor = new
-        yield self.env.timeout(0.0)
-        return new
-
-    def ftell(self, fd: int) -> int:
-        return self._handle(fd).cursor
-
-    def stat(self, path: str) -> Generator:
-        st = yield from self.kernel.stat(path)
-        nv_file = self.tables.files.get((st.st_dev, st.st_ino))
-        if nv_file is not None and nv_file.size != st.st_size:
-            st = Stat(st.st_dev, st.st_ino, st.st_mode, nv_file.size, st.st_nlink)
-        return st
-
-    def fstat(self, fd: int) -> Generator:
-        handle = self._handle(fd)
-        st = yield from self.kernel.fstat(fd)
-        if handle.file.size != st.st_size:
-            st = Stat(st.st_dev, st.st_ino, st.st_mode, handle.file.size, st.st_nlink)
-        return st
 
     def ftruncate(self, fd: int, size: int) -> Generator:
         """Drain + durably invalidate the file's resident pages, then cut
@@ -905,27 +812,6 @@ class PagingCache:
         finally:
             self.txn_lock.release()
         return 0
-
-    # -- durability calls: already durable, so no-ops ----------------------
-
-    def fsync(self, fd: int) -> Generator:
-        self._handle(fd)
-        self.stats.fsyncs_ignored += 1
-        yield self.env.timeout(0.0)
-        return 0
-
-    def fdatasync(self, fd: int) -> Generator:
-        result = yield from self.fsync(fd)
-        return result
-
-    def sync(self) -> Generator:
-        self.stats.fsyncs_ignored += 1
-        yield self.env.timeout(0.0)
-        return 0
-
-    def syncfs(self, fd: int) -> Generator:
-        result = yield from self.fsync(fd)
-        return result
 
     # -- namespace operations ----------------------------------------------
 
@@ -953,11 +839,7 @@ class PagingCache:
             if slot.key is not None and slot.key[0] == fid:
                 self._map.pop(slot.key, None)
                 self.policy.record_evict(slot.key)
-                slot.state = SLOT_FREE
-                slot.key = None
-                slot.txn = 0
-                slot.fd = -1
-                slot.nv_file = None
+                slot.free()
                 self._free.append(slot_index)
         self.store.clear_fid_path(fid)
         recorder = self.env.crash_points
@@ -972,7 +854,6 @@ class PagingCache:
             self._release_fid(nv_file)
         else:
             self._fid_by_key.pop(key, None)
-            self._fid_pages.pop(fid, None)
             self._free_fids.append(fid)
         self._fire_slot_waiters()
 
@@ -1017,39 +898,19 @@ class PagingCache:
             self.txn_lock.release()
         return result
 
-    def mkdir(self, path: str) -> Generator:
-        result = yield from self.kernel.mkdir(path)
-        return result
-
-    def flock(self, fd: int, operation: int) -> Generator:
-        """Coherence point for multi-process sharing, mirroring Nvcache:
-        unlock flushes this instance's pages to the kernel; acquiring
-        drops the (possibly stale) clean residents and re-stats."""
-        from ..kernel.fd_table import LOCK_EX, LOCK_SH, LOCK_UN
-        handle = self._handle(fd)
-        nv_file = handle.file
-        if operation & LOCK_UN:
-            if nv_file.pending_entries:
-                yield self.cleanup.request_drain()
-        elif operation & (LOCK_SH | LOCK_EX):
-            fid = self._fid_by_key.get(nv_file.key)
-            if fid is not None:
-                for key, slot in list(self._map.items()):
-                    if key[0] == fid and slot.state == SLOT_CLEAN:
-                        del self._map[key]
-                        self._fid_pages[fid] -= 1
-                        self.policy.record_evict(key)
-                        slot.state = SLOT_FREE
-                        slot.key = None
-                        slot.txn = 0
-                        slot.nv_file = None
-                        self._media_fid.pop(slot.index, None)
-                        self._free.append(slot.index)
-            st = yield from self.kernel.fstat(fd)
-            if nv_file.pending_entries == 0:
-                nv_file.size = st.st_size
-        result = yield from self.kernel.flock(fd, operation)
-        return result
+    def _drop_clean(self, nv_file: NvFile) -> None:
+        """flock acquire: unmap the file's CLEAN slots. No durable clear
+        is needed — recovery skips CLEAN records."""
+        fid = self._fid_by_key.get(nv_file.key)
+        if fid is None:
+            return
+        for key, slot in list(self._map.items()):
+            if key[0] == fid and slot.state == SLOT_CLEAN:
+                del self._map[key]
+                self.policy.record_evict(key)
+                self._media_fid.pop(slot.index, None)
+                slot.free()
+                self._free.append(slot.index)
 
     # -- introspection -----------------------------------------------------
 
@@ -1064,14 +925,20 @@ class PagingCache:
                 dirty += 1
         assert dirty == self._dirty_count, (
             f"dirty count {self._dirty_count} != mapped dirty {dirty}")
-        resident = len(self._map) + len(self._free)
-        assert resident <= self.config.paging_slots + len(self._free), \
-            "slot bookkeeping drift"
-        for fid, count in self._fid_pages.items():
-            assert count >= 0, f"negative resident count for fid {fid}"
+        free = set(self._free)
+        assert len(free) == len(self._free), "duplicate slot on the free list"
+        mapped = {slot.index for slot in self._map.values()}
+        assert not free & mapped, \
+            f"slots {sorted(free & mapped)} both free and mapped"
+        assert len(mapped) + len(free) <= self.config.paging_slots, \
+            "more mapped + free slots than the page table holds"
+        bound = set(self._fid_by_key.values())
+        for key in self._map:
+            assert key[0] in bound, \
+                f"page {key} mapped under an unbound file id"
 
 
-class WritebackThread:
+class WritebackThread(DrainThread):
     """Background drain of committed dirty slots to the backend.
 
     Deliberately lock-free (it never takes ``txn_lock``): a writer
@@ -1092,60 +959,21 @@ class WritebackThread:
 
     A crash between 1 and 3 merely replays the pages (idempotent
     pwrites); a crash mid-3 leaves some slots DIRTY — also just
-    replayed. Like the log-mode CleanupThread it is the wake-up source
-    for drain waiters, close-headroom waiters and the cache's
-    slot-full waiters.
+    replayed. The lifecycle, deferred closes and close-headroom waiters
+    come from :class:`~repro.core.cleanup.DrainThread`; this thread adds
+    the dirty-count drain condition and wakes the cache's slot-full
+    waiters.
     """
+
+    process_name = "paging-writeback"
 
     def __init__(self, env: Environment, cache: "PagingCache", kernel,
                  config: NvcacheConfig, stats: PagingStats):
-        self.env = env
+        super().__init__(env, kernel, cache.tables, config, stats)
         self.cache = cache
-        self.kernel = kernel
-        self.config = config
-        self.stats = stats
-        self.running = False
-        self._process = None
-        self._tick = None
         self._kick = False
-        # Set by PagingCache: generator kernel-closing a deferred fd.
-        self.finalize_fd = None
-        self._drain_waiters: List[Waitable] = []
-        self._close_waiters: List[Tuple[int, Waitable]] = []
-        self._last_progress = 0.0
         self.high_slots = max(1, int(config.paging_wb_high * config.paging_slots))
         self.low_slots = max(0, int(config.paging_wb_low * config.paging_slots))
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def start(self) -> None:
-        if self.running:
-            return
-        self.running = True
-        self._last_progress = self.env.now
-        self._process = self.env.spawn(self._run(), name="paging-writeback")
-
-    def stop(self) -> None:
-        self.running = False
-
-    def park(self) -> None:
-        """Stop between batches and withdraw the pending tick (the
-        quiescent-snapshot precondition — see CleanupThread.park)."""
-        process = self._process
-        if process is not None and process.alive and self._tick is None:
-            raise ValueError("writeback thread is mid-batch; drain before parking")
-        self.running = False
-        self._process = None
-        if process is not None and process.alive:
-            process.kill()
-        if self._tick is not None:
-            self._tick.cancel()
-            self._tick = None
-
-    def _sleep(self, delay: float) -> Generator:
-        self._tick = self.env.timeout(delay)
-        yield self._tick
-        self._tick = None
 
     def nudge(self) -> None:
         """Writer-side hint: worth checking the watermarks before the
@@ -1154,8 +982,6 @@ class WritebackThread:
         advantage."""
         if self.cache._slot_waiters or self.cache._dirty_count >= self.high_slots:
             self._kick = True
-
-    # -- waiters -----------------------------------------------------------
 
     def request_drain(self) -> Waitable:
         """Fires once every currently-dirty page reached the backend."""
@@ -1171,33 +997,6 @@ class WritebackThread:
             waiters, self._drain_waiters = self._drain_waiters, []
             for waiter in waiters:
                 waiter._fire(None)
-
-    def request_close_headroom(self, threshold: int) -> Waitable:
-        waiter = Waitable(self.env)
-        if len(self.cache.tables.deferred_close) <= threshold:
-            waiter._fire(None)
-        else:
-            self._close_waiters.append((threshold, waiter))
-        return waiter
-
-    def _fire_close_waiters(self) -> None:
-        if not self._close_waiters:
-            return
-        backlog = len(self.cache.tables.deferred_close)
-        still_waiting = []
-        for threshold, waiter in self._close_waiters:
-            if backlog <= threshold:
-                waiter._fire(None)
-            else:
-                still_waiting.append((threshold, waiter))
-        self._close_waiters = still_waiting
-
-    def _finalize_deferred(self) -> Generator:
-        if self.finalize_fd is not None:
-            for fd in sorted(self.cache.tables.deferred_close):
-                if self.cache.tables.pending_by_fd.get(fd, 0) == 0:
-                    yield from self.finalize_fd(fd)
-        self._fire_close_waiters()
 
     # -- the thread body ---------------------------------------------------
 
@@ -1215,7 +1014,7 @@ class WritebackThread:
                       or bool(self.cache._slot_waiters)
                       or self._kick
                       or dirty >= self.high_slots
-                      or len(self.cache.tables.deferred_close) > 64
+                      or len(self.tables.deferred_close) > 64
                       or (self.env.now - self._last_progress
                           >= self.config.paging_idle_flush))
             if not urgent:
@@ -1315,13 +1114,13 @@ class WritebackThread:
             cache._dirty_count -= 1
             nv_file = slot.nv_file
             nv_file.pending_entries -= 1
-            remaining = cache.tables.pending_by_fd.get(slot.fd, 0) - 1
-            cache.tables.pending_by_fd[slot.fd] = max(0, remaining)
+            remaining = self.tables.pending_by_fd.get(slot.fd, 0) - 1
+            self.tables.pending_by_fd[slot.fd] = max(0, remaining)
             slot.fd = -1
             demoted += 1
         self.stats.writeback_batches += 1
-        if cache._m_batch_size is not None:
-            cache._m_batch_size.observe(len(flushed))
+        if self._m_batch_size is not None:
+            self._m_batch_size.observe(len(flushed))
         if token is not None:
             tracer.end(self.env, token, status="retired",
                        dirty=cache._dirty_count)

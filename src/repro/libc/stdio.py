@@ -87,10 +87,6 @@ class Stdio:
         data = yield from self.libc.read(stream.fd, nbytes)
         return data
 
-    def fflush(self, stream: File) -> Generator:
-        yield from self._flush_buffer(stream)
-        return 0
-
     def _flush_buffer(self, stream: File) -> Generator:
         if stream._write_buffer:
             chunk = bytes(stream._write_buffer)

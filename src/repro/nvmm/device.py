@@ -201,10 +201,6 @@ class NvmmDevice:
                 f"{self.name} of size {self.size}"
             )
 
-    @staticmethod
-    def _line_of(addr: int) -> int:
-        return addr // CACHE_LINE_SIZE
-
     # -- untimed state transitions (the instruction model) ------------------
 
     def store(self, addr: int, data: bytes) -> None:

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import os
 import subprocess
-import sys
 import time
 from typing import Dict, Optional, Sequence
 
@@ -63,10 +62,3 @@ def run_command(argv: Sequence[str], cwd: Optional[str] = None,
         "stderr": _tail(stderr),
         "seconds": round(time.perf_counter() - started, 3),
     }
-
-
-def python_command(*argv: str) -> list:
-    """``argv`` prefixed with the running interpreter — the CI suites
-    must test the Python that invoked the orchestrator, not whatever
-    ``python`` resolves to on PATH."""
-    return [sys.executable, *argv]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.block import SsdDevice
-from repro.core import Nvcache, NvcacheConfig, NvmmLog
+from repro.core import Nvcache, NvcacheConfig, NvmmLog, PagingCache, PagingStore
 from repro.fs import Ext4
 from repro.kernel import Kernel
 from repro.nvmm import NvmmDevice
@@ -22,12 +22,20 @@ SMALL_CONFIG = NvcacheConfig(
 
 
 def make_stack(config=SMALL_CONFIG, ssd_size=256 * MIB, start_cleanup=True):
+    """A small stack; ``config.cache_mode == "paging"`` builds a
+    :class:`PagingCache`, anything else an :class:`Nvcache`."""
     env = Environment()
     ssd = SsdDevice(env, size=ssd_size)
     kernel = Kernel(env)
     kernel.mount("/", Ext4(env, ssd))
-    nvmm = NvmmDevice(env, size=NvmmLog.required_size(config))
-    nvcache = Nvcache(env, kernel, nvmm, config, start_cleanup=start_cleanup)
+    if config.cache_mode == "paging":
+        nvmm = NvmmDevice(env, size=PagingStore.required_size(config))
+        nvcache = PagingCache(env, kernel, nvmm, config,
+                              start_cleanup=start_cleanup)
+    else:
+        nvmm = NvmmDevice(env, size=NvmmLog.required_size(config))
+        nvcache = Nvcache(env, kernel, nvmm, config,
+                          start_cleanup=start_cleanup)
     return env, kernel, ssd, nvmm, nvcache
 
 

@@ -1,6 +1,9 @@
 """Close-path backpressure: descriptor churn under saturation blocks on
 a cleanup-thread-fired waitable instead of spinning 0.5 ms polls."""
 
+from dataclasses import replace
+
+import pytest
 
 from repro.core import NvcacheConfig
 from repro.kernel.fd_table import O_CREAT, O_WRONLY
@@ -86,10 +89,12 @@ def test_saturated_close_blocks_without_polling(monkeypatch):
     assert OLD_POLL_INTERVAL not in state["delays"]
 
 
-def test_descriptor_churn_drains_through_saturation():
+@pytest.mark.parametrize("mode", ["logging", "paging"])
+def test_descriptor_churn_drains_through_saturation(mode):
     """Sustained churn past fd_max * 3/4 makes progress and finalizes
-    every descriptor once the log drains."""
-    env, kernel, _ssd, _nvmm, nv = make_stack(SATURATION_CONFIG)
+    every descriptor once the cache drains (the shared close valve)."""
+    env, kernel, _ssd, _nvmm, nv = make_stack(
+        replace(SATURATION_CONFIG, cache_mode=mode, paging_slots=64))
     threshold = SATURATION_CONFIG.fd_max * 3 // 4
 
     def body():
@@ -108,4 +113,7 @@ def test_descriptor_churn_drains_through_saturation():
     assert peak >= threshold
     assert peak <= threshold + 1
     assert nv.tables.deferred_close == set()
-    assert nv.log.used() == 0
+    if mode == "logging":
+        assert nv.log.used() == 0
+    else:
+        assert nv._dirty_count == 0

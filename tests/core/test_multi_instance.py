@@ -1,9 +1,13 @@
 """Multi-application / multi-process coherence (paper §III):
-two NVCache instances on one machine, sharing files via flock."""
+two NVCache instances on one machine, sharing files via flock. The
+flock tests run on both cache designs, which share the flock path."""
 
+from dataclasses import replace
+
+import pytest
 
 from repro.block import SsdDevice
-from repro.core import Nvcache, NvcacheConfig, NvmmLog
+from repro.core import Nvcache, NvcacheConfig, NvmmLog, PagingCache, PagingStore
 from repro.fs import Ext4
 from repro.kernel import Kernel, LOCK_EX, LOCK_SH, LOCK_UN, O_CREAT, O_RDWR
 from repro.nvmm import NvmmDevice
@@ -14,14 +18,23 @@ CFG = NvcacheConfig(log_entries=512, read_cache_pages=64, batch_min=8,
                     batch_max=64, fd_max=64, cleanup_idle_flush=0.01)
 
 
-def two_instances():
+PAGING_CFG = replace(CFG, cache_mode="paging", paging_slots=64)
+
+both_modes = pytest.mark.parametrize("mode", ["logging", "paging"])
+
+
+def two_instances(mode="logging"):
     env = Environment()
     kernel = Kernel(env)
     kernel.mount("/", Ext4(env, SsdDevice(env, size=256 * MIB)))
-    a = Nvcache(env, kernel, NvmmDevice(env, size=NvmmLog.required_size(CFG),
-                                        name="dax-a"), CFG, name="nvcache-a")
-    b = Nvcache(env, kernel, NvmmDevice(env, size=NvmmLog.required_size(CFG),
-                                        name="dax-b"), CFG, name="nvcache-b")
+    if mode == "paging":
+        cache, config, size = PagingCache, PAGING_CFG, PagingStore.required_size
+    else:
+        cache, config, size = Nvcache, CFG, NvmmLog.required_size
+    a = cache(env, kernel, NvmmDevice(env, size=size(config), name="dax-a"),
+              config, name="nvcache-a")
+    b = cache(env, kernel, NvmmDevice(env, size=size(config), name="dax-b"),
+              config, name="nvcache-b")
     return env, kernel, a, b
 
 
@@ -41,10 +54,11 @@ def test_instances_have_independent_logs():
     assert a.log.used() >= 1 and b.log.used() >= 1
 
 
-def test_flock_handoff_makes_writes_visible_across_instances():
+@both_modes
+def test_flock_handoff_makes_writes_visible_across_instances(mode):
     """The paper's coherence protocol: A writes under LOCK_EX, unlocks
     (flush point); B takes the lock and must read A's data."""
-    env, _kernel, a, b = two_instances()
+    env, _kernel, a, b = two_instances(mode)
 
     def body():
         fd_a = yield from a.open("/shared", O_CREAT | O_RDWR)
@@ -65,10 +79,11 @@ def test_flock_handoff_makes_writes_visible_across_instances():
     assert size == 18
 
 
-def test_stale_cache_without_lock_then_fresh_with_lock():
+@both_modes
+def test_stale_cache_without_lock_then_fresh_with_lock(mode):
     """B caches old content; A updates and unlocks; B's cached read may
     be stale, but after taking the lock B sees the new data."""
-    env, _kernel, a, b = two_instances()
+    env, _kernel, a, b = two_instances(mode)
 
     def body():
         fd_a = yield from a.open("/shared", O_CREAT | O_RDWR)
@@ -96,10 +111,11 @@ def test_stale_cache_without_lock_then_fresh_with_lock():
     assert env.run_process(body()) == b"gen-2"
 
 
-def test_flock_acquire_keeps_own_pending_pages():
+@both_modes
+def test_flock_acquire_keeps_own_pending_pages(mode):
     """Acquiring a lock must not discard pages this instance itself has
     pending writes for (they are newer than anything in the kernel)."""
-    env, _kernel, a, _b = two_instances()
+    env, _kernel, a, _b = two_instances(mode)
     a.cleanup.stop()  # keep writes pending
 
     def body():

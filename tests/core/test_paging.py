@@ -6,6 +6,8 @@ behaviour — hit accounting, in-place supersede, fill reads, writeback,
 invalidation — on a hand-built small stack.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.block import SsdDevice
@@ -282,3 +284,34 @@ def test_read_only_open_bypasses_staging():
         yield from cache.close(fd)
 
     env.run_process(write_denied())
+
+
+def test_promotion_skips_when_the_file_table_is_full():
+    """Promotion is best-effort: a read of a file the full file-id
+    table cannot name is served from the backend, not failed, and the
+    slot it would have used goes back to the free list."""
+    config = replace(PAGING_CONFIG, fd_max=2)
+    env, kernel, _nvmm, cache = make_paging_stack(config)
+    names = ("/a", "/b", "/c")
+
+    def seed():
+        for name in names:
+            fd = yield from kernel.open(name, O_CREAT | O_WRONLY)
+            yield from kernel.pwrite(fd, name[1].encode() * PAGE, 0)
+            yield from kernel.close(fd)
+
+    env.run_process(seed())
+
+    def body():
+        out = []
+        for name in names:
+            fd = yield from cache.open(name, O_RDONLY)
+            out.append((yield from cache.pread(fd, PAGE, 0)))
+            yield from cache.close(fd)
+        return out
+
+    assert env.run_process(body()) == [name[1].encode() * PAGE
+                                       for name in names]
+    assert cache.stats.promotions == 2
+    assert len(cache._map) + len(cache._free) == config.paging_slots
+    cache.check_invariants()

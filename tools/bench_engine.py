@@ -61,39 +61,15 @@ SCALE_FACTOR = 512
 HISTORY_LIMIT = 10
 
 
-def _events_dispatched(env) -> int:
-    """Dispatched-event count; falls back to scheduled-count on engines
-    that predate the ``events_dispatched`` counter."""
-    count = getattr(env, "events_dispatched", None)
-    if count is not None:
-        return count
-    return getattr(env, "_bench_scheduled", 0)
-
-
-def _instrument(env) -> None:
-    """Count scheduled callbacks on engines without a dispatch counter."""
-    if hasattr(env, "events_dispatched"):
-        return
-    env._bench_scheduled = 0
-    original = env.schedule
-
-    def counting_schedule(delay, callback):
-        env._bench_scheduled += 1
-        original(delay, callback)
-
-    env.schedule = counting_schedule
-
-
 def bench_fio(rw: str, size_mib: int = 8) -> dict:
     """One fio job over nvcache+ssd; returns the measurement record."""
     stack = build_stack("nvcache+ssd", scale=Scale(SCALE_FACTOR))
-    _instrument(stack.env)
     job = FioJob(rw=rw, block_size=4096, size=size_mib * 1024 * 1024,
                  fsync=1, direct=True)
     wall_start = time.perf_counter()
     result = run_fio(stack.env, stack.libc, job)
     wall = time.perf_counter() - wall_start
-    events = _events_dispatched(stack.env)
+    events = stack.env.events_dispatched
     sim_bytes = result.bytes_written + result.bytes_read
     return {
         "wall_seconds": round(wall, 4),
@@ -112,7 +88,6 @@ def bench_db_bench(num: int = 3000) -> dict:
     from repro.apps.kvstore.db import MiniRocks
 
     stack = build_stack("nvcache+ssd", scale=Scale(SCALE_FACTOR))
-    _instrument(stack.env)
     env = stack.env
     results = {}
 
@@ -126,7 +101,7 @@ def bench_db_bench(num: int = 3000) -> dict:
     wall_start = time.perf_counter()
     env.run_process(body(), name="db_bench")
     wall = time.perf_counter() - wall_start
-    events = _events_dispatched(env)
+    events = env.events_dispatched
     sim_bytes = sum(r.bytes_moved for r in results.values())
     return {
         "wall_seconds": round(wall, 4),
