@@ -3,8 +3,6 @@ a cleanup-thread-fired waitable instead of spinning 0.5 ms polls."""
 
 from dataclasses import replace
 
-import pytest
-
 from repro.core import NvcacheConfig
 from repro.kernel.fd_table import O_CREAT, O_WRONLY
 from repro.sim import Environment
@@ -89,8 +87,15 @@ def test_saturated_close_blocks_without_polling(monkeypatch):
     assert OLD_POLL_INTERVAL not in state["delays"]
 
 
-@pytest.mark.parametrize("mode", ["logging", "paging"])
-def test_descriptor_churn_drains_through_saturation(mode):
+def test_descriptor_churn_drains_through_saturation():
+    check_descriptor_churn_drains_through_saturation("logging")
+
+
+def test_descriptor_churn_drains_through_saturation_paging():
+    check_descriptor_churn_drains_through_saturation("paging")
+
+
+def check_descriptor_churn_drains_through_saturation(mode):
     """Sustained churn past fd_max * 3/4 makes progress and finalizes
     every descriptor once the cache drains (the shared close valve)."""
     env, kernel, _ssd, _nvmm, nv = make_stack(

@@ -4,8 +4,6 @@ flock tests run on both cache designs, which share the flock path."""
 
 from dataclasses import replace
 
-import pytest
-
 from repro.block import SsdDevice
 from repro.core import Nvcache, NvcacheConfig, NvmmLog, PagingCache, PagingStore
 from repro.fs import Ext4
@@ -19,9 +17,6 @@ CFG = NvcacheConfig(log_entries=512, read_cache_pages=64, batch_min=8,
 
 
 PAGING_CFG = replace(CFG, cache_mode="paging", paging_slots=64)
-
-both_modes = pytest.mark.parametrize("mode", ["logging", "paging"])
-
 
 def two_instances(mode="logging"):
     env = Environment()
@@ -54,8 +49,15 @@ def test_instances_have_independent_logs():
     assert a.log.used() >= 1 and b.log.used() >= 1
 
 
-@both_modes
-def test_flock_handoff_makes_writes_visible_across_instances(mode):
+def test_flock_handoff_makes_writes_visible_across_instances():
+    check_flock_handoff_makes_writes_visible_across_instances("logging")
+
+
+def test_flock_handoff_makes_writes_visible_across_instances_paging():
+    check_flock_handoff_makes_writes_visible_across_instances("paging")
+
+
+def check_flock_handoff_makes_writes_visible_across_instances(mode):
     """The paper's coherence protocol: A writes under LOCK_EX, unlocks
     (flush point); B takes the lock and must read A's data."""
     env, _kernel, a, b = two_instances(mode)
@@ -79,8 +81,15 @@ def test_flock_handoff_makes_writes_visible_across_instances(mode):
     assert size == 18
 
 
-@both_modes
-def test_stale_cache_without_lock_then_fresh_with_lock(mode):
+def test_stale_cache_without_lock_then_fresh_with_lock():
+    check_stale_cache_without_lock_then_fresh_with_lock("logging")
+
+
+def test_stale_cache_without_lock_then_fresh_with_lock_paging():
+    check_stale_cache_without_lock_then_fresh_with_lock("paging")
+
+
+def check_stale_cache_without_lock_then_fresh_with_lock(mode):
     """B caches old content; A updates and unlocks; B's cached read may
     be stale, but after taking the lock B sees the new data."""
     env, _kernel, a, b = two_instances(mode)
@@ -111,8 +120,15 @@ def test_stale_cache_without_lock_then_fresh_with_lock(mode):
     assert env.run_process(body()) == b"gen-2"
 
 
-@both_modes
-def test_flock_acquire_keeps_own_pending_pages(mode):
+def test_flock_acquire_keeps_own_pending_pages():
+    check_flock_acquire_keeps_own_pending_pages("logging")
+
+
+def test_flock_acquire_keeps_own_pending_pages_paging():
+    check_flock_acquire_keeps_own_pending_pages("paging")
+
+
+def check_flock_acquire_keeps_own_pending_pages(mode):
     """Acquiring a lock must not discard pages this instance itself has
     pending writes for (they are newer than anything in the kernel)."""
     env, _kernel, a, _b = two_instances(mode)
