@@ -27,6 +27,9 @@ class NvFile:
     radix: Optional[RadixTree] = None  # created at first write-mode open
     open_count: int = 0
     pending_entries: int = 0  # log entries not yet propagated for this file
+    # Paging: bumped at the end of each namespace operation that
+    # invalidated the file (PagingCache._end_namespace_op).
+    inval_seq: int = 0
 
     def descriptor(self, page_index: int) -> Optional[PageDescriptor]:
         if self.radix is None:

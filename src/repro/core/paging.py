@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Dict, Generator, List, Optional, Tuple
+from typing import Dict, Generator, List, Optional, Set, Tuple
 
 from ..kernel.errno import EBADF, EINVAL, ENOENT, KernelError
 from ..kernel.fd_table import (
@@ -102,7 +102,7 @@ class PagingStats:
     overwrite_hits: int = 0        # written pages already resident
     fill_reads: int = 0            # partial-page writes read-filled from disk
     promotions: int = 0            # read misses admitted into NVMM
-    promotions_skipped: int = 0    # read misses not promoted (gate, slots, lock)
+    promotions_skipped: int = 0    # read misses not promoted (gate, slots, race)
     evictions: int = 0             # CLEAN slots recycled
     txn_commits: int = 0
     full_waits: int = 0            # writes stalled waiting for a slot
@@ -274,6 +274,9 @@ class PagingCache(CacheFacade):
         self._free_fids: List[int] = list(range(config.fd_max - 1, -1, -1))
         self._next_txn = self.store.committed_txn() + 1
         self.txn_lock = Lock(env, name=f"{name}.txn")
+        # Keys of files a namespace op is invalidating right now; see
+        # _end_namespace_op and _overtaken.
+        self._invalidating: Set[Tuple[int, int]] = set()
         self._slot_waiters: List[Waitable] = []
         self._start(WritebackThread(env, self, kernel, config, self.stats),
                     start_cleanup)
@@ -307,7 +310,7 @@ class PagingCache(CacheFacade):
                   fn=lambda: stats.promotions)
         m.counter("promotions_skipped", unit="pages",
                   help="read misses not promoted: admission gate declined, "
-                       "no free slot, or txn lock busy",
+                       "no free slot, or a namespace op or write overtook it",
                   fn=lambda: stats.promotions_skipped)
         m.counter("evictions", unit="pages", help="CLEAN slots recycled",
                   fn=lambda: stats.evictions)
@@ -412,7 +415,7 @@ class PagingCache(CacheFacade):
                     yield from self._invalidate_file(nv_file, key)
             fd = yield from self._open_registered(path, flags, mode, True)
         finally:
-            self.txn_lock.release()
+            self._end_namespace_op()
         return fd
 
     def _open_registered(self, path: str, flags: int, mode: int,
@@ -684,6 +687,7 @@ class PagingCache(CacheFacade):
             # Looked up per page: an unlink during this read may release
             # the file id and a new file may already hold it.
             fid = self._fid_by_key.get(nv_file.key)
+            inval_seq = nv_file.inval_seq
             slot = self._map.get((fid, page)) if fid is not None else None
             if slot is not None and slot.state != SLOT_FREE:
                 # Hit: serve straight from the resident NVMM page.
@@ -729,22 +733,21 @@ class PagingCache(CacheFacade):
                 finally:
                     if token is not None:
                         tracer.end(self.env, token)
-                yield from self._maybe_promote(nv_file, page, buffer)
+                yield from self._maybe_promote(nv_file, inval_seq, page,
+                                               buffer)
                 out += buffer[in_page:in_page + chunk]
             position += chunk
         return bytes(out)
 
-    def _maybe_promote(self, nv_file: NvFile, page: int,
+    def _maybe_promote(self, nv_file: NvFile, inval_seq: int, page: int,
                        buffer: bytearray) -> Generator:
         """Promote a missed page into NVMM as a CLEAN slot with txn = 0
         (recovery ignores both CLEAN and txn-0 records, so a torn
-        promotion can never resurrect) — if the policy admits it, a
-        slot is free without waiting, and ``txn_lock`` is free. The lock
-        is held across the store so no unlink, rename or truncate can
-        release the file id before the slot is mapped under it; a busy
-        lock skips the promotion (best-effort, like a full cache). Never
-        promotes over a page that became resident while the backend read
-        was in flight."""
+        promotion can never resurrect) — if the policy admits it and a
+        slot is free without waiting. Lock-free: the promotion is
+        dropped, and its slot freed, if a namespace operation on the
+        file overlapped the miss (``inval_seq`` was read before the
+        backend read) or the page became resident meanwhile."""
         fid = self._fid_by_key.get(nv_file.key)
         probe_key = (fid, page) if fid is not None else (nv_file.key, page)
         if not self.policy.admit(probe_key):
@@ -754,24 +757,14 @@ class PagingCache(CacheFacade):
         if fid is not None and (fid, page) in self._map:
             yield self.env.timeout(0.0)
             return
-        if not self.txn_lock.try_acquire():
-            self.stats.promotions_skipped += 1
-            yield self.env.timeout(0.0)
-            return
-        try:
-            yield from self._promote(nv_file, fid, page, buffer)
-        finally:
-            self.txn_lock.release()
-
-    def _promote(self, nv_file: NvFile, fid: Optional[int], page: int,
-                 buffer: bytearray) -> Generator:
         slot = None
-        if fid is not None or self._free_fids:
+        if not self._overtaken(nv_file, inval_seq) and (
+                fid is not None or self._free_fids):
             slot = self.slots[self._free.pop()] if self._free else self._evict_clean()
         if slot is None:
-            # Best-effort: no slot free without waiting, or no file id
-            # left for a file the table does not know yet. Never fail
-            # the read over it.
+            # Best-effort: the file is being (or was) invalidated, no
+            # slot is free without waiting, or no file id is left for a
+            # file the table does not know yet. Never fail the read.
             self.stats.promotions_skipped += 1
             yield self.env.timeout(0.0)
             return
@@ -788,6 +781,14 @@ class PagingCache(CacheFacade):
             self.env.tracer.charge(self.env, "nvmm", "store", cost)
         yield self.env.timeout(cost)
         key = (fid, page)
+        if self._overtaken(nv_file, inval_seq) or key in self._map:
+            # A namespace op or a write overtook the store. The CLEAN
+            # record left on the media is recovery-invisible.
+            self._media_fid.pop(slot.index, None)
+            self._free.append(slot.index)
+            self._fire_slot_waiters()
+            self.stats.promotions_skipped += 1
+            return
         slot.state = SLOT_CLEAN
         slot.txn = 0
         slot.key = key
@@ -796,6 +797,14 @@ class PagingCache(CacheFacade):
         self._map[key] = slot
         self.policy.record_insert(key)
         self.stats.promotions += 1
+
+    def _overtaken(self, nv_file: NvFile, inval_seq: int) -> bool:
+        """Whether a namespace operation on the file is in flight or ran
+        since ``inval_seq`` was read: a read miss's backend bytes may
+        then be ones the file no longer has, or its fid a released one
+        (only a namespace op releases a fid)."""
+        return (nv_file.key in self._invalidating
+                or nv_file.inval_seq != inval_seq)
 
     def ftruncate(self, fd: int, size: int) -> Generator:
         """Drain + durably invalidate the file's resident pages, then cut
@@ -810,7 +819,7 @@ class PagingCache(CacheFacade):
             yield from self.kernel.ftruncate(fd, size)
             nv_file.size = size
         finally:
-            self.txn_lock.release()
+            self._end_namespace_op()
         return 0
 
     # -- namespace operations ----------------------------------------------
@@ -822,7 +831,9 @@ class PagingCache(CacheFacade):
         survives a crash anywhere in here), then durably drop every slot
         whose MEDIA meta still names this file id — including freed
         superseded slots whose stale records a reused fid could otherwise
-        resurrect — and free the fid."""
+        resurrect — and free the fid. Called with ``txn_lock`` held by a
+        namespace op, which ends with :meth:`_end_namespace_op`."""
+        self._invalidating.add(key)
         fid = self._fid_by_key.get(key)
         if fid is None:
             yield self.env.timeout(0.0)
@@ -857,6 +868,17 @@ class PagingCache(CacheFacade):
             self._free_fids.append(fid)
         self._fire_slot_waiters()
 
+    def _end_namespace_op(self) -> None:
+        """Release ``txn_lock`` at the end of a namespace op, bumping the
+        ``inval_seq`` of each file it invalidated: a read miss that
+        overlapped the op (backend cut included) drops its promotion."""
+        for key in self._invalidating:
+            nv_file = self.tables.files.get(key)
+            if nv_file is not None:
+                nv_file.inval_seq += 1
+        self._invalidating.clear()
+        self.txn_lock.release()
+
     def unlink(self, path: str) -> Generator:
         yield self.txn_lock.acquire()
         try:
@@ -872,7 +894,7 @@ class PagingCache(CacheFacade):
                     nv_file, (st.st_dev, st.st_ino))
             result = yield from self.kernel.unlink(path)
         finally:
-            self.txn_lock.release()
+            self._end_namespace_op()
         return result
 
     def rename(self, old: str, new: str) -> Generator:
@@ -895,7 +917,7 @@ class PagingCache(CacheFacade):
                 if nv_file.path == old:
                     nv_file.path = new
         finally:
-            self.txn_lock.release()
+            self._end_namespace_op()
         return result
 
     def _drop_clean(self, nv_file: NvFile) -> None:

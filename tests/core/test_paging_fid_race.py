@@ -2,11 +2,15 @@
 
 A file id (fid) names a file in the paging page table. ``unlink``,
 ``rename``, ``ftruncate`` and a truncating ``open`` release it, and the
-next new file may be handed the same id. Two paths used to map a page
-under a fid that had just been released:
+next new file may be handed the same id. Three paths used to map a
+page under a fid that had just been released, or map bytes the file no
+longer had:
 
 - a read-miss promotion, which yields on its NVMM store before mapping
   the slot, racing an ``unlink``;
+- a read-miss promotion that read the page before an ``ftruncate`` or
+  truncating ``open`` cut it and mapped it after, re-binding the file;
+  a later partial write then seeded its unwritten bytes from that slot;
 - a truncating ``open``, which invalidated the file without the txn
   lock, racing a ``pwrite`` that held the fid.
 
@@ -20,6 +24,8 @@ invariants, not only that nothing crashes.
 """
 
 from dataclasses import replace
+
+import pytest
 
 from repro.kernel.fd_table import O_CREAT, O_RDONLY, O_RDWR, O_TRUNC, O_WRONLY
 from repro.units import US
@@ -122,6 +128,14 @@ def _truncating_open(cache):
     yield from cache.close(fd)
 
 
+def test_promotion_racing_a_write_never_hides_it():
+    """A write that maps the page during the promotion's store wins;
+    the promotion's older backend bytes are dropped."""
+    for delay, (_s, _first, f_data, new) in _sweep(_write, _read_old):
+        assert f_data == b"W" * PAGE + b"O" * PAGE, (delay, f_data[:8])
+        assert new == ZEROS, (delay, new[:8])
+
+
 def test_truncating_open_racing_a_write_stays_serial():
     for delay, (_s, _first, f_data, new) in _sweep(_write, _truncating_open):
         # Write-then-truncate leaves an empty file; truncate-then-write
@@ -211,3 +225,80 @@ def test_read_spanning_unlink_and_recreate_never_returns_the_new_file():
         # pages read as X or as a hole; never as /y's bytes.
         pages = {data[k * PAGE:(k + 1) * PAGE] for k in range(10)}
         assert pages <= {b"X" * PAGE, ZEROS}, step * STEP
+
+
+def _ftruncate(cache):
+    fd = yield from cache.open("/f", O_RDWR)
+    yield from cache.ftruncate(fd, 0)
+    yield from cache.close(fd)
+
+
+def _race_truncate_then_patch(truncate, bound, delay):
+    """A one-page read of ``/f`` (two pages of ``O`` on the backend)
+    races ``truncate`` started ``delay`` later; then 100 bytes of ``P``
+    go to offset 100. Returns (how long the read took, ``/f`` through
+    the cache, ``/f`` on the backend after a drain)."""
+    env, kernel, _nvmm, cache = make_paging_stack()
+    out = {}
+
+    def seed():
+        fd = yield from kernel.open("/f", O_CREAT | O_WRONLY)
+        yield from kernel.pwrite(fd, b"O" * (2 * PAGE), 0)
+        yield from kernel.close(fd)
+        if bound:
+            # Give /f a file id up front: page 1 resident, page 0 not.
+            fd = yield from cache.open("/f", O_RDWR)
+            yield from cache.pwrite(fd, b"O" * PAGE, PAGE)
+            yield from cache.close(fd)
+            yield from cache.drain()
+
+    def reader():
+        began = env.now
+        yield from _read_old(cache)
+        out["read_s"] = env.now - began
+
+    def racer():
+        yield env.timeout(delay)
+        yield from truncate(cache)
+
+    def main():
+        yield from seed()
+        racers = [env.spawn(reader(), name="reader"),
+                  env.spawn(racer(), name="truncate")]
+        for each in racers:
+            yield each.join()
+        cache.check_invariants()
+        fd = yield from cache.open("/f", O_RDWR)
+        yield from cache.pwrite(fd, b"P" * 100, 100)
+        out["cached"] = yield from cache.pread(fd, 2 * PAGE, 0)
+        yield from cache.close(fd)
+        yield from cache.drain()
+        cache.check_invariants()
+        fd = yield from kernel.open("/f", O_RDONLY)
+        out["backend"] = yield from kernel.pread(fd, 2 * PAGE, 0)
+        yield from kernel.close(fd)
+
+    process = env.spawn(main(), name="main")
+    process.subscribe(lambda _value, _exc: env.stop())
+    env.run()
+    assert process.exception is None, (delay, process.exception)
+    return out["read_s"], out["cached"], out["backend"]
+
+
+@pytest.mark.parametrize("bound", [False, True], ids=["unbound", "bound"])
+@pytest.mark.parametrize("truncate", [_ftruncate, _truncating_open],
+                         ids=["ftruncate", "o_trunc"])
+def test_truncate_racing_a_read_miss_never_promotes_the_old_bytes(
+        truncate, bound):
+    """A promotion that read the page before the cut must not map it
+    afterwards: the later partial write would seed its unwritten bytes
+    from that slot and make the pre-truncate bytes durable."""
+    solo_s = _race_truncate_then_patch(truncate, bound, 1.0)[0]
+    steps = int(solo_s / STEP) + 1
+    assert steps > 8, "sweep too coarse to cover the read"
+    expected = bytes(100) + b"P" * 100
+    for step in range(steps):
+        _s, cached, backend = _race_truncate_then_patch(
+            truncate, bound, step * STEP)
+        assert cached == expected, (step * STEP, cached[:8])
+        assert backend == expected, (step * STEP, backend[:8])
